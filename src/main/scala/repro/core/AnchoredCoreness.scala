@@ -174,7 +174,8 @@ object AnchoredCoreness {
       maxRounds: Int = 5000,
       traceSink: Option[Trace => Unit] = None
   ): ACRun = {
-    val adj = g.adjacency().persist(StorageLevel.MEMORY_AND_DISK)
+    val part = SuperstepEngine.partitioner(mode)
+    val adj = g.adjacency(part).persist(StorageLevel.MEMORY_AND_DISK)
     adj.count()
 
     val t1 = Vector.newBuilder[Map[Long, Int]]
@@ -194,14 +195,16 @@ object AnchoredCoreness {
     val kmaxRDD = p1.states.mapValues(_.value).persist(StorageLevel.MEMORY_AND_DISK)
 
     // ---- kmax exchange: every vertex tells each neighbor its kmax so that
-    // G[k] membership is locally checkable (one-off setup broadcast).
-    val requests = adj.flatMap { case (v, a) =>
-      a.inN.iterator.map(u => (u, (v, 0: Byte))) ++ a.outN.iterator.map(u => (u, (v, 1: Byte)))
-    }
-    val withK = requests.join(kmaxRDD).map { case (u, ((v, dir), ku)) => (v, (u, dir, ku)) }
-    val adjK: RDD[(Long, AdjK)] = withK
-      .groupByKey(adj.getNumPartitions)
-      .join(kmaxRDD)
+    // G[k] membership is locally checkable (one-off setup broadcast). Tag 0
+    // marks the sender as the receiver's in-neighbor, tag 1 as its
+    // out-neighbor.
+    val adjK: RDD[(Long, AdjK)] = adj
+      .join(kmaxRDD, part)
+      .flatMap { case (u, (a, ku)) =>
+        a.outN.iterator.map(v => (v, (u, 0: Byte, ku))) ++ a.inN.iterator.map(v => (v, (u, 1: Byte, ku)))
+      }
+      .groupByKey(part)
+      .join(kmaxRDD, part)
       .mapValues { case (entries, ownK) =>
         val in  = entries.iterator.collect { case (u, 0, ku) => (u, ku) }.toArray.sortBy(_._1)
         val out = entries.iterator.collect { case (u, 1, ku) => (u, ku) }.toArray.sortBy(_._1)
@@ -227,7 +230,7 @@ object AnchoredCoreness {
     val lupp = p2.states.mapValues(_.oh).persist(StorageLevel.MEMORY_AND_DISK)
 
     // ---- Phase III: refine to exact lmax(k, v).
-    val ctx3 = adjK.join(lupp)
+    val ctx3 = adjK.join(lupp, part)
     val p3 = SuperstepEngine.run(
       ctx3,
       Phase3Program,
@@ -248,14 +251,14 @@ object AnchoredCoreness {
     * in-coreness used for Table 3's k_max column.
     */
   def inCoreness(g: DirectedGraph, mode: EngineMode): (RDD[(Long, Int)], EngineMetrics) = {
-    val adj = g.adjacency()
+    val adj = g.adjacency(SuperstepEngine.partitioner(mode))
     val r = SuperstepEngine.run(adj, HIndexProgram(HIndexProgram.In), mode)
     (r.states.mapValues(_.value), r.metrics)
   }
 
   /** lmax(v) = out-coreness (Theorem 5.2) — Table 3's l_max column. */
   def outCoreness(g: DirectedGraph, mode: EngineMode): (RDD[(Long, Int)], EngineMetrics) = {
-    val adj = g.adjacency()
+    val adj = g.adjacency(SuperstepEngine.partitioner(mode))
     val r = SuperstepEngine.run(adj, HIndexProgram(HIndexProgram.Out), mode)
     (r.states.mapValues(_.value), r.metrics)
   }

@@ -108,15 +108,16 @@ object SkylineCoreness {
       maxRounds: Int = 5000,
       traceSink: Option[Vector[Map[Long, Vector[(Int, Int)]]] => Unit] = None
   ): SCRun = {
-    val adj = g.adjacency().persist(StorageLevel.MEMORY_AND_DISK)
+    val part = SuperstepEngine.partitioner(mode)
+    val adj = g.adjacency(part).persist(StorageLevel.MEMORY_AND_DISK)
     adj.count()
 
     // Opt-3 tight initialisation: kmax(v) and lmax(v) by Alg. 2 twice.
     val rIn  = SuperstepEngine.run(adj, HIndexProgram(HIndexProgram.In), mode, maxRounds)
     val rOut = SuperstepEngine.run(adj, HIndexProgram(HIndexProgram.Out), mode, maxRounds)
-    val init = rIn.states.mapValues(_.value).join(rOut.states.mapValues(_.value))
+    val init = rIn.states.mapValues(_.value).join(rOut.states.mapValues(_.value), part)
 
-    val ctx: RDD[(Long, SCCtx)] = adj.join(init).mapValues { case (a, (k0, l0)) =>
+    val ctx: RDD[(Long, SCCtx)] = adj.join(init, part).mapValues { case (a, (k0, l0)) =>
       SCCtx(a.inN, a.outN, k0, l0)
     }
 

@@ -1,5 +1,6 @@
 package repro.engine
 
+import org.apache.spark.{HashPartitioner, Partitioner}
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
@@ -11,7 +12,6 @@ final case class VertexAdj(inN: Array[Long], outN: Array[Long]) {
   def inDeg: Int = inN.length
   def outDeg: Int = outN.length
   def deg: Int = inN.length + outN.length
-  def neighbors: Iterator[Long] = inN.iterator ++ outN.iterator
   def distinctNeighbors: Array[Long] = (inN ++ outN).distinct
 }
 
@@ -71,19 +71,25 @@ final class DirectedGraph private (val edges: DataFrame) extends Serializable {
   }
 
   /** Adjacency RDD for the superstep engine: one record per vertex with its
-    * full in- and out-neighbor lists (sorted for determinism).
+    * full in- and out-neighbor lists (sorted for determinism), partitioned by
+    * `part`. Built with one shuffle and at most `part.numPartitions` map
+    * tasks; given `SuperstepEngine.partitioner(mode)`, it is the only
+    * shuffle of the vertices in a whole run.
     */
-  def adjacency(numPartitions: Int = edges.rdd.getNumPartitions): RDD[(Long, VertexAdj)] = {
-    val e: RDD[(Long, Long)] = edges.select($"src", $"dst").as[(Long, Long)].rdd
-    val outs = e.map { case (s, d) => (s, d) }.groupByKey(numPartitions)
-    val ins  = e.map { case (s, d) => (d, s) }.groupByKey(numPartitions)
-    outs.fullOuterJoin(ins).mapValues { case (o, i) =>
-      VertexAdj(
-        i.map(_.toArray.sorted).getOrElse(Array.empty[Long]),
-        o.map(_.toArray.sorted).getOrElse(Array.empty[Long])
-      )
-    }
-  }
+  def adjacency(part: Partitioner = new HashPartitioner(edges.rdd.getNumPartitions)): RDD[(Long, VertexAdj)] =
+    edges
+      .select($"src", $"dst")
+      .as[(Long, Long)]
+      .rdd
+      .coalesce(part.numPartitions)
+      .flatMap { case (s, d) => Iterator((s, (d, true)), (d, (s, false))) }
+      .groupByKey(part)
+      .mapValues { nbrs =>
+        val in  = Array.newBuilder[Long]
+        val out = Array.newBuilder[Long]
+        nbrs.foreach { case (u, isOut) => if (isOut) out += u else in += u }
+        VertexAdj(in.result().sorted, out.result().sorted)
+      }
 
   /** Vertex-induced random subgraph keeping `frac` of the vertices — the
     * cardinality knob of Exp-5.

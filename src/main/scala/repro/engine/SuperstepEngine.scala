@@ -1,6 +1,6 @@
 package repro.engine
 
-import org.apache.spark.{HashPartitioner, Partitioner}
+import org.apache.spark.{HashPartitioner, Partitioner, TaskContext}
 import org.apache.spark.rdd.RDD
 import org.apache.spark.storage.StorageLevel
 
@@ -64,16 +64,6 @@ final case class EngineMetrics(
   /** Smallest round by which `frac` of the vertices have converged. */
   def roundsToConverge(frac: Double): Int =
     (0 to rounds).find(r => convergenceRate(r) >= frac).getOrElse(rounds)
-
-  def +(other: EngineMetrics): EngineMetrics = EngineMetrics(
-    mode,
-    rounds + other.rounds,
-    remoteMsgsPerRound ++ other.remoteMsgsPerRound,
-    localMsgsPerRound ++ other.localMsgsPerRound,
-    changedPerRound ++ other.changedPerRound,
-    math.max(nVertices, other.nVertices),
-    Map.empty // histograms are per-phase; combined histogram is not meaningful
-  )
 }
 
 private final case class BlockPartitioner(assign: Long => Int, numBlocks: Int) extends Partitioner {
@@ -86,18 +76,49 @@ private final case class BlockPartitioner(assign: Long => Int, numBlocks: Int) e
 
 /** Synchronous superstep executor over Spark RDDs.
   *
-  * Each round: shuffle messages to their target vertex, co-group with the
-  * vertex states (narrow on the state side — states never move after the
-  * initial partitioning), run the vertex program, emit next-round messages.
-  * Terminates when no messages are in flight (and, for `selfWake` programs,
-  * no vertex is still settling) — the paper's "no vertex broadcasts
-  * messages" condition.
+  * The vertices are partitioned once, by `partitioner(mode)`, and never move
+  * again. Each round shuffles the messages to their target's partition, zips
+  * each state partition with its partition of messages (narrow on the state
+  * side), runs the vertex program, and persists the partition's new states,
+  * outbox and counters as one record. Terminates when no messages are in
+  * flight (and, for `selfWake` programs, no vertex is still settling) — the
+  * paper's "no vertex broadcasts messages" condition — and fails if that
+  * has not happened within `maxRounds`.
   */
 object SuperstepEngine {
 
   private final case class VR[C, S](ctx: C, state: S, changed: Boolean, lastChanged: Int)
 
+  /** One partition's counters for one round. */
+  private final case class Counts(vertices: Long, remote: Long, local: Long, changedNow: Long, changed: Long) {
+    def +(o: Counts): Counts =
+      Counts(vertices + o.vertices, remote + o.remote, local + o.local, changedNow + o.changedNow, changed + o.changed)
+  }
+  private val NoCounts = Counts(0L, 0L, 0L, 0L, 0L)
+
+  /** The record a round persists for each partition: its vertices after the
+    * round, the messages they sent to be delivered next round (`msgs(i)` to
+    * `targets(i)`, in send order), and the partition's counters. Parallel
+    * arrays rather than arrays of pairs keep the cached copy small.
+    */
+  private final case class Step[C, S, M](
+      vids: Array[Long],
+      vrs: Array[VR[C, S]],
+      targets: Array[Long],
+      msgs: Array[M],
+      counts: Counts
+  )
+
   final case class RunResult[S](states: RDD[(Long, S)], metrics: EngineMetrics)
+
+  /** The Spark partitioner `run` places the vertices of `mode` with. Input
+    * already partitioned by it enters `run` without a shuffle, joins between
+    * such RDDs need none, and the states `run` returns carry it.
+    */
+  def partitioner(mode: EngineMode): Partitioner = mode match {
+    case VertexCentric(p)   => new HashPartitioner(p)
+    case BlockCentric(a, b) => BlockPartitioner(a, b)
+  }
 
   def run[C: ClassTag, S: ClassTag, M: ClassTag](
       vertices: RDD[(Long, C)],
@@ -106,91 +127,66 @@ object SuperstepEngine {
       maxRounds: Int = 5000,
       onRoundEnd: (Int, RDD[(Long, S)]) => Unit = (_: Int, _: RDD[(Long, S)]) => ()
   ): RunResult[S] = {
-    val (part, localDelivery, blockOf) = mode match {
-      case VertexCentric(p)     => (new HashPartitioner(p): Partitioner, false, (_: Long) => -1)
-      case BlockCentric(a, b)   => (BlockPartitioner(a, b): Partitioner, true, a)
-    }
+    val part = partitioner(mode)
+    val localDelivery = mode.isInstanceOf[BlockCentric]
     val selfWake = program.selfWake
 
-    var state: RDD[(Long, VR[C, S])] = vertices.partitionBy(part).mapPartitions(
-      _.map { case (vid, ctx) =>
-        val s = program.initialState(vid, ctx)
-        (vid, VR(ctx, s, changed = false, lastChanged = 0))
-      },
-      preservesPartitioning = true
-    )
-    state.persist(StorageLevel.MEMORY_AND_DISK)
-    val nVertices = state.count()
-
-    var msgs: RDD[(Long, M)] = state.flatMap { case (vid, vr) => program.initialMessages(vid, vr.ctx, vr.state) }
-    // Initial broadcast accounting (round 0): in block-centric mode only the
-    // messages that cross a block boundary are communication.
-    val initCounts: (Long, Long) =
-      if (!localDelivery) (msgs.count(), 0L)
-      else
-        state
-          .flatMap { case (vid, vr) => program.initialMessages(vid, vr.ctx, vr.state).map { case (t, _) => (vid, t) } }
-          .map { case (srcV, t) => if (part.getPartition(srcV) == part.getPartition(t)) (0L, 1L) else (1L, 0L) }
-          .fold((0L, 0L)) { case ((a1, b1), (a2, b2)) => (a1 + a2, b1 + b2) }
+    // Round 0: initial states and the initial broadcast, which is delivered
+    // in round 1 (locally or not).
+    var stepped: RDD[Step[C, S, M]] = vertices
+      .partitionBy(part)
+      .mapPartitionsWithIndex(
+        (pid, it) => Iterator(initialStep(pid, it, program, localDelivery, part)),
+        preservesPartitioning = true
+      )
+      .persist(StorageLevel.MEMORY_AND_DISK)
+    var steppedCheckpointed = false
+    val init = stepped.map(_.counts).fold(NoCounts)(_ + _)
 
     val remotePerRound = Vector.newBuilder[Long]
     val localPerRound  = Vector.newBuilder[Long]
     val changedPerRound = Vector.newBuilder[Long]
-    remotePerRound += initCounts._1
-    localPerRound += initCounts._2
+    remotePerRound += init.remote
+    localPerRound += init.local
 
-    var pendingMsgs = initCounts._1 + initCounts._2
+    var pendingMsgs = init.remote + init.local
     var pendingChanged = 0L
+    def pending: Boolean = pendingMsgs > 0 || (selfWake && !localDelivery && pendingChanged > 0)
     var round = 0
-    var prevStepped: RDD[_] = null
-    var prevSteppedCheckpointed = false
-    var prevState: RDD[_] = state
 
-    while (round < maxRounds && (pendingMsgs > 0 || (selfWake && !localDelivery && pendingChanged > 0))) {
+    while (round < maxRounds && pending) {
       round += 1
       val r = round
-      val grouped = state.cogroup(msgs, part)
-      val stepped = grouped
-        .mapPartitionsWithIndex(
-          { (pid, it) => stepPartition(pid, r, it, program, localDelivery, part, selfWake) },
-          preservesPartitioning = true
-        )
+      val msgs = stepped.flatMap(s => s.targets.iterator.zip(s.msgs.iterator)).partitionBy(part)
+      val next = states(stepped)
+        .zipPartitions(msgs, preservesPartitioning = true) { (vs, ms) =>
+          Iterator(stepPartition(TaskContext.getPartitionId(), r, vs, ms, program, localDelivery, part, selfWake, maxRounds))
+        }
         .persist(StorageLevel.MEMORY_AND_DISK)
       // Truncate lineage periodically or the round-over-round RDD chain
       // overflows the stack; checkpointed RDDs must never be unpersisted
       // (their lineage is gone — the blocks ARE the data).
       val checkpointNow = round % 25 == 0
-      if (checkpointNow) stepped.localCheckpoint()
+      if (checkpointNow) next.localCheckpoint()
 
-      val (remote, local, changedNow, changedFlags) = stepped
-        .map { case (_, (vr, out, localSent)) =>
-          (out.length.toLong, localSent, if (vr.lastChanged == r) 1L else 0L, if (vr.changed) 1L else 0L)
-        }
-        .fold((0L, 0L, 0L, 0L)) { case ((a1, b1, c1, d1), (a2, b2, c2, d2)) => (a1 + a2, b1 + b2, c1 + c2, d1 + d2) }
+      val c = next.map(_.counts).fold(NoCounts)(_ + _)
+      remotePerRound += c.remote
+      localPerRound += c.local
+      changedPerRound += c.changedNow
+      pendingMsgs = c.remote
+      pendingChanged = c.changed
 
-      remotePerRound += remote
-      localPerRound += local
-      changedPerRound += changedNow
-      pendingMsgs = remote
-      pendingChanged = changedFlags
-
-      val newState = stepped.mapValues(_._1)
-      val newMsgs: RDD[(Long, M)] = stepped.flatMap { case (_, (_, out, _)) => out.iterator }
-
-      if (prevStepped != null && !prevSteppedCheckpointed) prevStepped.unpersist(blocking = false)
-      if (prevState != null && !(prevState eq stepped)) prevState.unpersist(blocking = false)
-      prevStepped = stepped
-      prevSteppedCheckpointed = checkpointNow
-      prevState = null
-      state = newState
-      msgs = newMsgs
-      onRoundEnd(round, state.mapValues(_.state))
+      if (!steppedCheckpointed) stepped.unpersist(blocking = false)
+      stepped = next
+      steppedCheckpointed = checkpointNow
+      onRoundEnd(round, states(stepped).mapValues(_.state))
     }
-    require(round < maxRounds || pendingMsgs == 0, s"engine did not converge within $maxRounds rounds")
+    require(!pending, s"engine did not converge within $maxRounds rounds")
 
-    val finalStates = state.mapValues(_.state).persist(StorageLevel.MEMORY_AND_DISK)
+    val finalStates = states(stepped).mapValues(_.state).persist(StorageLevel.MEMORY_AND_DISK)
     finalStates.count()
-    val hist: Map[Int, Long] = state.map(_._2.lastChanged).countByValue().map { case (k, v) => (k, v) }.toMap
+    val hist: Map[Int, Long] = states(stepped).map(_._2.lastChanged).countByValue().map { case (k, v) => (k, v) }.toMap
+    if (!steppedCheckpointed) stepped.unpersist(blocking = false)
 
     val metrics = EngineMetrics(
       mode.name,
@@ -198,38 +194,72 @@ object SuperstepEngine {
       remotePerRound.result(),
       localPerRound.result(),
       changedPerRound.result(),
-      nVertices,
+      init.vertices,
       hist
     )
     RunResult(finalStates, metrics)
   }
 
+  private def states[C, S, M](stepped: RDD[Step[C, S, M]]): RDD[(Long, VR[C, S])] =
+    stepped.mapPartitions(_.flatMap(s => s.vids.iterator.zip(s.vrs.iterator)), preservesPartitioning = true)
+
+  /** Round 0 of one partition: initial states and the initial broadcast. In
+    * block-centric mode only the messages that cross a block boundary are
+    * communication.
+    */
+  private def initialStep[C, S, M: ClassTag](
+      pid: Int,
+      it: Iterator[(Long, C)],
+      program: VertexProgram[C, S, M],
+      localDelivery: Boolean,
+      part: Partitioner
+  ): Step[C, S, M] = {
+    val vids = mutable.ArrayBuilder.make[Long]
+    val vrs = mutable.ArrayBuffer.empty[VR[C, S]]
+    val targets = mutable.ArrayBuilder.make[Long]
+    val msgs = mutable.ArrayBuffer.empty[M]
+    var local = 0L
+    it.foreach { case (vid, ctx) =>
+      val s = program.initialState(vid, ctx)
+      vids += vid
+      vrs += VR(ctx, s, changed = false, lastChanged = 0)
+      program.initialMessages(vid, ctx, s).foreach { case (tgt, m) =>
+        targets += tgt
+        msgs += m
+        if (localDelivery && part.getPartition(tgt) == pid) local += 1
+      }
+    }
+    Step(vids.result(), vrs.toArray, targets.result(), msgs.toArray, Counts(vrs.length.toLong, msgs.length - local, local, 0L, 0L))
+  }
+
   /** Run the vertex program for one superstep within a partition. In
     * block-centric mode, iterate to local convergence: messages whose target
     * lives in the same block are delivered to the next *sub-iteration*
-    * rather than the next round.
+    * rather than the next round. A block that has not settled after
+    * `maxSubIters` sub-iterations fails the run.
     */
-  private def stepPartition[C, S, M](
+  private def stepPartition[C, S, M: ClassTag](
       pid: Int,
       round: Int,
-      it: Iterator[(Long, (Iterable[VR[C, S]], Iterable[M]))],
+      states: Iterator[(Long, VR[C, S])],
+      msgs: Iterator[(Long, M)],
       program: VertexProgram[C, S, M],
       localDelivery: Boolean,
       part: Partitioner,
-      selfWake: Boolean
-  ): Iterator[(Long, (VR[C, S], Array[(Long, M)], Long))] = {
+      selfWake: Boolean,
+      maxSubIters: Int
+  ): Step[C, S, M] = {
     val verts = mutable.LinkedHashMap.empty[Long, VR[C, S]]
+    states.foreach { case (vid, vr) => verts(vid) = vr }
     var inbox = mutable.HashMap.empty[Long, mutable.ArrayBuffer[M]]
-    it.foreach { case (vid, (vrs, ms)) =>
-      if (vrs.nonEmpty) {
-        verts(vid) = vrs.head
-        if (ms.nonEmpty) inbox.getOrElseUpdate(vid, mutable.ArrayBuffer.empty) ++= ms
-      }
+    msgs.foreach { case (vid, m) =>
       // messages to unknown vertices are dropped (cannot happen for
       // neighbor-addressed messages)
+      if (verts.contains(vid)) inbox.getOrElseUpdate(vid, mutable.ArrayBuffer.empty) += m
     }
-    val remoteOut = mutable.HashMap.empty[Long, mutable.ArrayBuffer[(Long, M)]]
-    val localSent = mutable.HashMap.empty[Long, Long]
+    val targets = mutable.ArrayBuilder.make[Long]
+    val remoteOut = mutable.ArrayBuffer.empty[M]
+    var localSent = 0L
 
     var active: Iterable[Long] =
       verts.iterator.collect {
@@ -239,6 +269,8 @@ object SuperstepEngine {
     var subIter = 0
     while (active.nonEmpty) {
       subIter += 1
+      if (subIter > maxSubIters)
+        throw new IllegalStateException(s"block $pid did not settle within $maxSubIters local iterations in round $round")
       val nextInbox = mutable.HashMap.empty[Long, mutable.ArrayBuffer[M]]
       val nextActive = mutable.LinkedHashSet.empty[Long]
       for (vid <- active) {
@@ -249,10 +281,11 @@ object SuperstepEngine {
         out.foreach { case (tgt, m) =>
           if (localDelivery && part.getPartition(tgt) == pid && verts.contains(tgt)) {
             nextInbox.getOrElseUpdate(tgt, mutable.ArrayBuffer.empty) += m
-            localSent(vid) = localSent.getOrElse(vid, 0L) + 1L
+            localSent += 1
             nextActive += tgt
           } else {
-            remoteOut.getOrElseUpdate(vid, mutable.ArrayBuffer.empty) += ((tgt, m))
+            targets += tgt
+            remoteOut += m
           }
         }
         if (localDelivery && selfWake && ch) nextActive += vid
@@ -265,8 +298,18 @@ object SuperstepEngine {
       }
     }
 
-    verts.iterator.map { case (vid, vr) =>
-      (vid, (vr, remoteOut.getOrElse(vid, mutable.ArrayBuffer.empty).toArray, localSent.getOrElse(vid, 0L)))
+    var changedNow = 0L
+    var changed = 0L
+    verts.valuesIterator.foreach { vr =>
+      if (vr.lastChanged == round) changedNow += 1
+      if (vr.changed) changed += 1
     }
+    Step(
+      verts.keysIterator.toArray,
+      verts.valuesIterator.toArray,
+      targets.result(),
+      remoteOut.toArray,
+      Counts(verts.size.toLong, remoteOut.length.toLong, localSent, changedNow, changed)
+    )
   }
 }

@@ -1,8 +1,10 @@
 package repro.engine
 
+import org.apache.spark.SparkException
 import org.apache.spark.rdd.RDD
 
 import repro.SparkSpec
+import repro.core.{AnchoredCoreness, SkylineCoreness}
 import repro.graphgen.{ExampleGraphs => EG, GraphGen}
 
 /** Engine-semantics tests using two tiny programs: weakly-connected min-label
@@ -33,6 +35,15 @@ object TestPrograms {
       a.distinctNeighbors.iterator.map(t => (t, 0))
     def compute(vid: Long, a: VertexAdj, s: Int, msgs: Seq[Int]): (Int, Iterator[(Long, Int)], Boolean) =
       if (s > a.deg) (s - 1, Iterator.empty, true) else (s, Iterator.empty, false)
+  }
+
+  /** Answers every message with a new one: never settles. */
+  object PingPong extends VertexProgram[VertexAdj, Int, Int] {
+    def initialState(vid: Long, a: VertexAdj): Int = 0
+    def initialMessages(vid: Long, a: VertexAdj, s: Int): Iterator[(Long, Int)] =
+      a.distinctNeighbors.iterator.map(t => (t, s))
+    def compute(vid: Long, a: VertexAdj, s: Int, msgs: Seq[Int]): (Int, Iterator[(Long, Int)], Boolean) =
+      (s + 1, a.distinctNeighbors.iterator.map(t => (t, s + 1)), true)
   }
 }
 
@@ -162,6 +173,37 @@ class EngineSpec extends SparkSpec {
   test("engine enforces maxRounds") {
     assertThrows[IllegalArgumentException] {
       SuperstepEngine.run(adjOf(GraphGen.randomLocalEdges(60, 150, 14)), MinLabel, VertexCentric(4), maxRounds = 1)
+    }
+  }
+
+  test("engine fails when a selfWake program is still settling at maxRounds") {
+    // Vertex 2 needs 8 rounds of self-wake to count down from 10 to its degree.
+    val e = intercept[IllegalArgumentException] {
+      SuperstepEngine.run(adjOf(Seq((1L, 2L), (2L, 3L))), new Countdown(10, wake = true), VertexCentric(2), maxRounds = 3)
+    }
+    assert(e.getMessage.contains("did not converge within 3 rounds"))
+  }
+
+  test("block-centric local loop that never settles fails, naming block and round") {
+    val e = intercept[SparkException] {
+      SuperstepEngine.run(adjOf(Seq((1L, 2L))), PingPong, BlockCentric(_ => 0, 1), maxRounds = 50)
+    }
+    assert(e.getMessage.contains("block 0 did not settle within 50 local iterations in round 1"), e.getMessage)
+  }
+
+  for (mode <- Seq(VertexCentric(4), blockMode(3))) {
+    val part = SuperstepEngine.partitioner(mode)
+
+    test(s"states of a pre-partitioned input keep the engine's partitioner (${mode.name})") {
+      val adj = DirectedGraph.fromEdgeList(spark, twoComponents).adjacency(part)
+      assert(adj.partitioner == Some(part))
+      assert(SuperstepEngine.run(adj, MinLabel, mode).states.partitioner == Some(part))
+    }
+
+    test(s"AC and SC results carry the engine's partitioner (${mode.name})") {
+      val g = DirectedGraph.fromEdgeList(spark, EG.figure2Edges)
+      assert(AnchoredCoreness.run(g, mode).lmax.partitioner == Some(part))
+      assert(SkylineCoreness.run(g, mode).skyline.partitioner == Some(part))
     }
   }
 

@@ -1,5 +1,7 @@
 package repro.engine
 
+import org.apache.spark.ShuffleDependency
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.functions._
 
 import repro.{Oracle, SparkSpec}
@@ -86,6 +88,47 @@ class GraphSpec extends SparkSpec {
     for ((_, a) <- adj) {
       assert(a.inN.toSeq == a.inN.toSeq.sorted)
       assert(a.outN.toSeq == a.outN.toSeq.sorted)
+    }
+  }
+
+  /** Reference adjacency: two `groupByKey`s and a full outer join at the
+    * edges' partition count.
+    */
+  private def threeShuffleAdjacency(g: DirectedGraph): Map[Long, (Vector[Long], Vector[Long])] = {
+    import spark.implicits._
+    val e = g.edges.select($"src", $"dst").as[(Long, Long)].rdd
+    val outs = e.groupByKey(e.getNumPartitions)
+    val ins  = e.map(_.swap).groupByKey(e.getNumPartitions)
+    outs
+      .fullOuterJoin(ins)
+      .mapValues { case (o, i) =>
+        (i.map(_.toVector.sorted).getOrElse(Vector.empty), o.map(_.toVector.sorted).getOrElse(Vector.empty))
+      }
+      .collect()
+      .toMap
+  }
+
+  /** Map tasks of the first shuffle above `rdd`. */
+  private def mapTasks(rdd: RDD[_]): Int = rdd.dependencies.head match {
+    case s: ShuffleDependency[_, _, _] => s.rdd.getNumPartitions
+    case d                             => mapTasks(d.rdd)
+  }
+
+  for (mode <- Seq(VertexCentric(4), BlockCentric(v => (((v % 3) + 3) % 3).toInt, 3))) {
+    val part = SuperstepEngine.partitioner(mode)
+
+    test(s"adjacency is built in the engine's partitioner by at most one map task per partition (${mode.name})") {
+      val adj = fig2.adjacency(part)
+      assert(adj.partitioner == Some(part))
+      assert(mapTasks(adj) <= part.numPartitions)
+    }
+
+    test(s"adjacency equals the three-shuffle construction (${mode.name})") {
+      val random = DirectedGraph.fromEdgeList(spark, GraphGen.randomLocalEdges(80, 300, 3))
+      for (g <- Seq(fig2, random)) {
+        val adj = g.adjacency(part).mapValues(a => (a.inN.toVector, a.outN.toVector)).collect().toMap
+        assert(adj == threeShuffleAdjacency(g))
+      }
     }
   }
 
