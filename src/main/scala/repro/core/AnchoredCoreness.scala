@@ -157,8 +157,7 @@ object AnchoredCoreness {
   ) {
     def totalRounds: Int = phase1.rounds + phase2.rounds + phase3.rounds
     def totalMessages: Long = phase1.totalMessages + phase2.totalMessages + phase3.totalMessages + setupMessages
-    def skyline: RDD[(Long, Vector[(Int, Int)])] =
-      lmax.mapValues(arr => Dominance.skyline(arr.zipWithIndex.map { case (l, k) => (k, l) }))
+    def skyline: RDD[(Long, Vector[(Int, Int)])] = lmax.mapValues(Coreness.skylineOfAnchored)
   }
 
   final case class Trace(
@@ -243,7 +242,8 @@ object AnchoredCoreness {
     lmax.count()
 
     traceSink.foreach(sink => sink(Trace(t1.result(), t2.result(), t3.result())))
-    adj.unpersist(blocking = false)
+    // Phase III's round 0 is checkpointed, so nothing left depends on these.
+    Seq(adj, adjK, p2.states, lupp).foreach(_.unpersist(blocking = false))
     ACRun(lmax, kmaxRDD, p1.metrics, p2.metrics, p3.metrics, setupMessages)
   }
 

@@ -134,7 +134,8 @@ object SkylineCoreness {
     val sky = main.states.mapValues(_.d).persist(StorageLevel.MEMORY_AND_DISK)
     sky.count()
     traceSink.foreach(sink => sink(trace.result()))
-    adj.unpersist(blocking = false)
+    // The main run's round 0 is checkpointed, so nothing left depends on these.
+    Seq(adj, rIn.states, rOut.states).foreach(_.unpersist(blocking = false))
     SCRun(sky, rIn.metrics, rOut.metrics, main.metrics)
   }
 }

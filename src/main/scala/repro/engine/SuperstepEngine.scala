@@ -2,7 +2,6 @@ package repro.engine
 
 import org.apache.spark.{HashPartitioner, Partitioner, TaskContext}
 import org.apache.spark.rdd.RDD
-import org.apache.spark.storage.StorageLevel
 
 import scala.collection.mutable
 import scala.reflect.ClassTag
@@ -84,6 +83,17 @@ private final case class BlockPartitioner(assign: Long => Int, numBlocks: Int) e
   * flight (and, for `selfWake` programs, no vertex is still settling) — the
   * paper's "no vertex broadcasts messages" condition — and fails if that
   * has not happened within `maxRounds`.
+  *
+  * Every round record, round 0 included, and the final states are
+  * local-checkpointed: Spark cuts their lineage when the job that
+  * materializes them ends, so each round's tasks ship the previous record's
+  * checkpoint, the message shuffle and the program, and never the caller's
+  * input, earlier phases or earlier rounds. The input may be released once
+  * `run` returns. This is a deliberate trade: the cached blocks are the only
+  * copy of a record, so losing an executor mid-run fails the run instead of
+  * recomputing it. Spark logs a WARN for every round when the previous
+  * record is released ("... was locally checkpointed, its lineage has been
+  * truncated and cannot be recomputed after unpersisting"); it is expected.
   */
 object SuperstepEngine {
 
@@ -120,6 +130,12 @@ object SuperstepEngine {
     case BlockCentric(a, b) => BlockPartitioner(a, b)
   }
 
+  /** Runs `program` on `vertices` until no messages are in flight.
+    *
+    * `onRoundEnd(r, states)` is called after round `r` with the states it
+    * left; `states` is valid only during the callback, since the round record
+    * it reads is released in the next round.
+    */
   def run[C: ClassTag, S: ClassTag, M: ClassTag](
       vertices: RDD[(Long, C)],
       program: VertexProgram[C, S, M],
@@ -132,15 +148,15 @@ object SuperstepEngine {
     val selfWake = program.selfWake
 
     // Round 0: initial states and the initial broadcast, which is delivered
-    // in round 1 (locally or not).
+    // in round 1 (locally or not). `localCheckpoint` persists each record
+    // (memory and disk) and cuts its lineage once its first job ends.
     var stepped: RDD[Step[C, S, M]] = vertices
       .partitionBy(part)
       .mapPartitionsWithIndex(
         (pid, it) => Iterator(initialStep(pid, it, program, localDelivery, part)),
         preservesPartitioning = true
       )
-      .persist(StorageLevel.MEMORY_AND_DISK)
-    var steppedCheckpointed = false
+      .localCheckpoint()
     val init = stepped.map(_.counts).fold(NoCounts)(_ + _)
 
     val remotePerRound = Vector.newBuilder[Long]
@@ -162,12 +178,7 @@ object SuperstepEngine {
         .zipPartitions(msgs, preservesPartitioning = true) { (vs, ms) =>
           Iterator(stepPartition(TaskContext.getPartitionId(), r, vs, ms, program, localDelivery, part, selfWake, maxRounds))
         }
-        .persist(StorageLevel.MEMORY_AND_DISK)
-      // Truncate lineage periodically or the round-over-round RDD chain
-      // overflows the stack; checkpointed RDDs must never be unpersisted
-      // (their lineage is gone — the blocks ARE the data).
-      val checkpointNow = round % 25 == 0
-      if (checkpointNow) next.localCheckpoint()
+        .localCheckpoint()
 
       val c = next.map(_.counts).fold(NoCounts)(_ + _)
       remotePerRound += c.remote
@@ -176,17 +187,18 @@ object SuperstepEngine {
       pendingMsgs = c.remote
       pendingChanged = c.changed
 
-      if (!steppedCheckpointed) stepped.unpersist(blocking = false)
+      // `next` no longer depends on `stepped`: its lineage was cut when the
+      // fold's job ended.
+      stepped.unpersist(blocking = false)
       stepped = next
-      steppedCheckpointed = checkpointNow
       onRoundEnd(round, states(stepped).mapValues(_.state))
     }
     require(!pending, s"engine did not converge within $maxRounds rounds")
 
-    val finalStates = states(stepped).mapValues(_.state).persist(StorageLevel.MEMORY_AND_DISK)
+    val finalStates = states(stepped).mapValues(_.state).localCheckpoint()
     finalStates.count()
     val hist: Map[Int, Long] = states(stepped).map(_._2.lastChanged).countByValue().map { case (k, v) => (k, v) }.toMap
-    if (!steppedCheckpointed) stepped.unpersist(blocking = false)
+    stepped.unpersist(blocking = false)
 
     val metrics = EngineMetrics(
       mode.name,

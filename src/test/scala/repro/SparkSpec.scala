@@ -19,9 +19,17 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
 }
 
 object SparkSpec {
+  /** `SPARK_MASTER` if set, else `local[SPARK_GRAFT_CPUS]` if that is set,
+    * else `local[*]`.
+    */
+  def master(env: Map[String, String]): String =
+    env.get("SPARK_MASTER")
+      .orElse(env.get("SPARK_GRAFT_CPUS").filter(_.nonEmpty).map(n => s"local[$n]"))
+      .getOrElse("local[*]")
+
   lazy val shared: SparkSession = {
     val s = SparkSession.builder
-      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
+      .master(master(sys.env))
       .appName("repro")
       .config("spark.sql.shuffle.partitions",
               sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))

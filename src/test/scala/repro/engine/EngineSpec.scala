@@ -221,11 +221,68 @@ class EngineSpec extends SparkSpec {
   }
 
   test("long chains converge (lineage/checkpoint robustness)") {
-    // 120-vertex path: min-label needs >100 rounds vertex-centrically —
-    // crosses the localCheckpoint interval several times.
+    // 120-vertex path: min-label needs >100 rounds vertex-centrically, each
+    // round adding a record to the run.
     val chain = (0L until 120L).sliding(2).map(s => (s(1), s(0))).toSeq
     val r = SuperstepEngine.run(adjOf(chain), MinLabel, VertexCentric(3))
     assert(r.metrics.rounds > 100)
     assert(r.states.collect().toMap.values.forall(_ == 0L))
+  }
+
+  private def persistedIds: Set[Int] = spark.sparkContext.getPersistentRDDs.keySet.toSet
+
+  /** Ids of every RDD reachable from `roots` through `dependencies`, roots included. */
+  private def lineageIds(roots: RDD[_]*): Set[Int] = {
+    val seen = scala.collection.mutable.Set.empty[Int]
+    def visit(r: RDD[_]): Unit = if (seen.add(r.id)) r.dependencies.foreach(d => visit(d.rdd))
+    roots.foreach(visit)
+    seen.toSet
+  }
+
+  /** Longest path through `dependencies` from `r`, counted in RDDs. */
+  private def depth(r: RDD[_]): Int = {
+    val memo = scala.collection.mutable.HashMap.empty[Int, Int]
+    def go(x: RDD[_]): Int = memo.getOrElseUpdate(x.id, 1 + (x.dependencies.map(d => go(d.rdd)) :+ 0).max)
+    go(r)
+  }
+
+  /** The 120-vertex chain of the test above, run once: its input, result,
+    * and the RDDs persisted before and after the run.
+    */
+  private lazy val chainRun = {
+    val adj = adjOf((0L until 120L).sliding(2).map(s => (s(1), s(0))).toSeq)
+    val before = persistedIds
+    val r = SuperstepEngine.run(adj, MinLabel, VertexCentric(3))
+    (adj, r, before, persistedIds)
+  }
+
+  test("a run leaves only its states cached") {
+    val (_, r, before, after) = chainRun
+    assert(r.metrics.rounds > 100)
+    assert(after -- before == Set(r.states.id))
+  }
+
+  test("the states' lineage excludes the input and does not grow with the rounds") {
+    val shortAdj = adjOf(twoComponents)
+    val short = SuperstepEngine.run(shortAdj, MinLabel, VertexCentric(4))
+    assert(short.metrics.rounds <= 5)
+    assert(!lineageIds(short.states)(shortAdj.id))
+    val (chainAdj, chain, _, _) = chainRun
+    assert(!lineageIds(chain.states)(chainAdj.id))
+    assert(depth(chain.states) == depth(short.states))
+  }
+
+  for (mode <- Seq(VertexCentric(4), blockMode(3))) {
+    test(s"AC and SC leave persisted only RDDs their results depend on (${mode.name})") {
+      val g = DirectedGraph.fromEdgeList(spark, EG.figure2Edges)
+      val beforeAC = persistedIds
+      val ac = AnchoredCoreness.run(g, mode)
+      val leftAC = persistedIds -- beforeAC
+      assert(leftAC.subsetOf(lineageIds(ac.lmax, ac.kmax)), s"AC left ${leftAC.size} RDDs persisted")
+      val beforeSC = persistedIds
+      val sc = SkylineCoreness.run(g, mode)
+      val leftSC = persistedIds -- beforeSC
+      assert(leftSC.subsetOf(lineageIds(sc.skyline)), s"SC left ${leftSC.size} RDDs persisted")
+    }
   }
 }
