@@ -79,11 +79,12 @@ object AnchoredCoreness {
       var changed = false
       var k = 0
       while (k <= a.kmax) {
-        // Out-neighbors still in G[k] (their kmax >= k) feed the H-index.
+        // Out-neighbors still in G[k] (their kmax >= k) feed the H-index; one
+        // not heard from yet counts as v's out-degree, the most H can use.
         val vals = a.outN.iterator.collect {
-          case (u, ku) if ku >= k => nbr.get(u).map(arr => arr(math.min(k, arr.length - 1))).getOrElse(Int.MaxValue)
-        }.toSeq
-        val h = HIndex.hIndex(vals.map(v => if (v == Int.MaxValue) a.outN.length else v))
+          case (u, ku) if ku >= k => nbr.get(u).fold(a.outN.length)(arr => arr(math.min(k, arr.length - 1)))
+        }.toArray
+        val h = HIndex.hIndex(vals)
         oh2(k) = math.min(s.oh(k), h)
         if (oh2(k) < s.oh(k)) changed = true
         k += 1

@@ -1,10 +1,7 @@
 package repro.core
 
-/** Pure combinatorial primitives shared by both decomposition algorithms:
-  * the classic H-index, the paper's dominance operators (Def. 5.1), the
-  * two-dimensional D-index (Def. 5.3), and a staircase representation of
-  * skyline (non-dominated) pair sets used for O(log s) dominance queries
-  * (Optimization-1/2 of Sec. 5.3).
+/** The classic H-index (paper Sec. 4.2), the per-vertex step of the
+  * directional H-index fixpoints (Alg. 2) and of Phase II (Alg. 3).
   */
 object HIndex {
 
@@ -82,30 +79,43 @@ object SkylineSet {
   def of(pairs: Iterable[(Int, Int)]): SkylineSet = SkylineSet(Dominance.skyline(pairs))
 }
 
-/** D-index of two pair sets (Def. 5.3): the skyline of all (k,l) such that
-  * at least k pairs of `rin` and at least l pairs of `rout` dominate-or-equal
-  * (k,l). Implements Optimization-1: k is capped by H({k_i : rin}), l by
-  * H({l_j : rout}), and the `lmin` staircase prunes dominated candidates.
-  */
+/** The D-index, written once for Def. 5.3 and for Alg. 6. */
 object DIndex {
-  import repro.core.{HIndex => H}
 
+  /** D-index of two pair sets (Def. 5.3): the skyline of all (k,l) such that
+    * at least k pairs of `rin` and at least l pairs of `rout`
+    * dominate-or-equal (k,l). Each pair is passed as a neighbour of its own.
+    */
   def apply(rin: Iterable[(Int, Int)], rout: Iterable[(Int, Int)]): Vector[(Int, Int)] = {
-    val rinV  = rin.toVector
-    val routV = rout.toVector
-    val kCap  = H.hIndex(rinV.map(_._1))
-    val lCap  = H.hIndex(routV.map(_._2))
+    def single(p: (Int, Int)) = SkylineSet(Vector(p))
+    ofNeighbours(rin.iterator.map(single).toArray, rout.iterator.map(single).toArray)
+  }
 
-    def supports(k: Int, l: Int): Boolean = {
-      var cin = 0
-      rinV.foreach { case (ki, li) => if (ki >= k && li >= l) cin += 1 }
-      if (cin < k) return false
-      var cout = 0
-      routV.foreach { case (kj, lj) => if (kj >= k && lj >= l) cout += 1 }
-      cout >= l
+  /** n-order D-index of a vertex (Alg. 6): the skyline of all (k,l) such that
+    * at least k in-neighbours and at least l out-neighbours hold a pair that
+    * dominates-or-equals (k,l). Neighbours are counted, not pairs: a
+    * neighbour with two such pairs supports (k,l) once.
+    *
+    * Optimization-1 (Sec. 5.3) bounds the scan: k is capped by the H-index of
+    * the in-neighbours' largest k, l by that of the out-neighbours' largest
+    * l, the `lmin` staircase skips candidates an emitted pair dominates, and
+    * each neighbour answers in O(log s) on its staircase. Alg. 6 as printed
+    * never tries l = 0, but skyline pairs like (2,0) exist: if no pair has
+    * been emitted yet, the largest k with (k,0) supported adds (k,0)
+    * (DESIGN.md §7). An empty skyline is {(0,0)}.
+    */
+  def ofNeighbours(in: Array[SkylineSet], out: Array[SkylineSet]): Vector[(Int, Int)] = {
+    val kCap = HIndex.hIndex(in.map(_.maxK))
+    val lCap = HIndex.hIndex(out.map(_.maxL))
+
+    def count(nbrs: Array[SkylineSet], k: Int, l: Int): Int = {
+      var c = 0
+      nbrs.foreach(s => if (s.dominatesOrEq(k, l)) c += 1)
+      c
     }
+    def supports(k: Int, l: Int): Boolean = count(in, k, l) >= k && count(out, k, l) >= l
 
-    val out = Vector.newBuilder[(Int, Int)]
+    val res = Vector.newBuilder[(Int, Int)]
     var lmin = 0
     var emitted = false
     var k = kCap
@@ -113,18 +123,16 @@ object DIndex {
       var l = lCap
       var found = false
       while (l > lmin && !found) {
-        if (supports(k, l)) { out += ((k, l)); lmin = l; found = true }
+        if (supports(k, l)) { res += ((k, l)); lmin = l; found = true }
         l -= 1
       }
-      // l = 0 candidates: only the largest supported k matters (see DESIGN.md
-      // §7 — Alg. 6 as printed skips l=0, but skyline pairs like (2,0) exist).
-      if (!found && !emitted && lmin == 0 && supports(k, 0) && k > 0) {
-        out += ((k, 0)); found = true
+      if (!found && !emitted && k > 0 && supports(k, 0)) {
+        res += ((k, 0)); found = true
       }
       if (found) emitted = true
       k -= 1
     }
-    val res = out.result()
-    if (res.isEmpty) Vector((0, 0)) else res
+    val d = res.result()
+    if (d.isEmpty) Vector((0, 0)) else d
   }
 }

@@ -1,5 +1,7 @@
 package repro.core
 
+import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.util.Pretty
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 
@@ -180,5 +182,36 @@ class DIndexSpec extends AnyFunSuite {
       val d = DIndex(rin, rout)
       for (Seq((k1, l1), (k2, l2)) <- d.sliding(2) if d.size >= 2) assert(k1 > k2 && l1 < l2)
     }
+  }
+
+  /** Definitional reference of the n-order D-index (Alg. 6): enumerate every
+    * candidate, count the neighbours holding a pair >= (k,l) by a linear scan
+    * of their pairs, keep the skyline of the supported candidates.
+    */
+  private def nOrderReference(in: Seq[SkylineSet], out: Seq[SkylineSet]): Vector[(Int, Int)] = {
+    def holders(nbrs: Seq[SkylineSet], k: Int, l: Int): Int =
+      nbrs.count(_.pairs.exists { case (ki, li) => ki >= k && li >= l })
+    val ok = for {
+      k <- 0 to in.size; l <- 0 to out.size
+      if holders(in, k, l) >= k && holders(out, k, l) >= l
+    } yield (k, l)
+    Dominance.skyline(ok)
+  }
+
+  test("n-order D-index matches its definitional reference on generated staircases") {
+    val staircase = Gen.listOf(Gen.zip(Gen.choose(0, 7), Gen.choose(0, 7))).map(SkylineSet.of)
+    val neighbours = Gen.listOf(staircase)
+    val prop = Prop.forAll(neighbours, neighbours) { (in, out) =>
+      DIndex.ofNeighbours(in.toArray, out.toArray) == nOrderReference(in, out)
+    }
+    val result = Test.check(Test.Parameters.default.withMinSuccessfulTests(300).withMaxSize(16), prop)
+    assert(result.passed, Pretty.pretty(result))
+  }
+
+  test("neighbours are counted, not pairs: one neighbour {(3,2),(2,3)} on each side") {
+    val s = SkylineSet.of(Seq((3, 2), (2, 3)))
+    assert(DIndex.ofNeighbours(Array(s), Array(s)) == Vector((1, 1)))
+    // The same pairs as a flat pair set count the one neighbour twice.
+    assert(DIndex(s.pairs, s.pairs) == Vector((2, 2)))
   }
 }

@@ -1,5 +1,9 @@
 package repro.core
 
+import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.Prop.propBoolean
+import org.scalacheck.util.Pretty
+
 import repro.SparkSpec
 import repro.engine._
 import repro.graphgen.{ExampleGraphs => EG, GraphGen}
@@ -93,6 +97,38 @@ class SkylineCorenessSpec extends SparkSpec {
         .skyline.collect().toMap
       assert(ac == sc)
     }
+  }
+
+  // ---------------- generated graphs: BruteForce ≡ Peeling ≡ AC ≡ SC ------
+
+  test("BruteForce, Peeling, AC and SC agree on generated edge lists (V and B/HASH)") {
+    // At most 10 ids, small and negative or anywhere in the 64-bit range;
+    // duplicate edges and self-loops stay in. The first list is empty.
+    val id = Gen.oneOf(Gen.choose(-4L, 4L), Gen.choose(Long.MinValue, Long.MaxValue))
+    val edgeLists = for {
+      ids   <- Gen.choose(1, 10).flatMap(Gen.listOfN(_, id))
+      edges <- Gen.listOf(Gen.zip(Gen.oneOf(ids), Gen.oneOf(ids)))
+    } yield edges
+    val hash = Partitioners.hash(4)
+    val modes = Seq(VertexCentric(3), BlockCentric(hash.assign, hash.numBlocks))
+    val prop = Prop.forAll(edgeLists) { edges =>
+      val local = LocalGraph.fromEdges(edges)
+      val phi = BruteForce.anchoredCorenesses(local).view.mapValues(_.toVector).toMap
+      val sc = BruteForce.skylineCorenesses(local)
+      val peel = Peeling.decompose(local).get
+      val g = DirectedGraph.fromEdgeList(spark, edges)
+      val distributed = modes.map { mode =>
+        val ac = AnchoredCoreness.run(g, mode).lmax.mapValues(_.toVector).collect().toMap
+        val sk = SkylineCoreness.run(g, mode).skyline.collect().toMap
+        ((ac == phi) :| s"AC (${mode.name})") && ((sk == sc) :| s"SC (${mode.name})")
+      }
+      Prop.all(
+        (peel.anchored.view.mapValues(_.toVector).toMap == phi) :| "Peeling anchored",
+        (peel.skyline == sc) :| "Peeling skyline"
+      ) && Prop.all(distributed: _*)
+    }
+    val result = Test.check(Test.Parameters.default.withMinSuccessfulTests(12).withMaxSize(60), prop)
+    assert(result.passed, Pretty.pretty(result))
   }
 
   // ---------------- cores materialised from SC -----------------------------
